@@ -87,6 +87,24 @@
 // plans; fused and unfused execution are bit-identical to the per-call
 // Executor at every worker count.
 //
+// # fp32 GEMM kernels
+//
+// Every fp32 forward matmul ends in one inner block. On amd64 CPUs with
+// AVX2 (detected once with CPUID and XGETBV, in assembly) it runs Go
+// assembly microkernels: a 4-row register tile that shares each weight
+// load across four patch or lane rows, and a single-row kernel for the
+// rows left over. Builds with the purego tag, other architectures and
+// CPUs without AVX2 run the Go loop instead; no option selects the path,
+// because both give the same bits. The contract, per output element:
+// products are accumulated for p ascending, each a separately rounded
+// multiply then a separately rounded add (no FMA), with the Go
+// compiler's operand order (weight times activation, then product plus
+// accumulator), which fixes NaN payloads and signs; and activations
+// equal to ±0 are skipped. The zero-skip is kept deliberately so every
+// golden stays byte-identical, although it hides weights corrupted to
+// Inf or NaN wherever they meet a zero; IEEE-faithful kernels for
+// faulted layers are a separate roadmap item.
+//
 // # Quantization lifecycle
 //
 // The int8 backend turns a profiled (optionally protected) model into a

@@ -59,6 +59,10 @@ const (
 	MetricStreamsRejected = "rangerd_streams_rejected_total"
 )
 
+// MetricStreamsActive is the gauge of ephemeral /v1/stream campaigns
+// holding a stream slot.
+const MetricStreamsActive = "rangerd_streams_active"
+
 // Inc adds n to a named counter.
 func (m *Metrics) Inc(name string, n uint64) {
 	m.mu.Lock()
@@ -79,6 +83,17 @@ func (m *Metrics) SetGauge(name string, fn func() float64) {
 	m.mu.Lock()
 	m.gauges[name] = fn
 	m.mu.Unlock()
+}
+
+// Gauge reads a registered gauge now; an unregistered name reads 0.
+func (m *Metrics) Gauge(name string) float64 {
+	m.mu.Lock()
+	fn := m.gauges[name]
+	m.mu.Unlock()
+	if fn == nil {
+		return 0
+	}
+	return fn()
 }
 
 // ObserveTrials folds one executed chunk into the per-trial latency

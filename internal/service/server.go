@@ -33,6 +33,9 @@ func NewServer(svc *Service, streamSlots int) *Server {
 		streamSlots = 2
 	}
 	s := &Server{svc: svc, mux: http.NewServeMux(), streamSlots: make(chan struct{}, streamSlots)}
+	// A slot's token is held from acquisition until the handler has
+	// returned, so the gauge falls only once the slot is free again.
+	svc.Metrics.SetGauge(MetricStreamsActive, func() float64 { return float64(len(s.streamSlots)) })
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)

@@ -290,6 +290,16 @@ func TestEphemeralStreamDisconnectCancels(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	// The handler releases its stream slot only after the campaign
+	// goroutine has unwound; wait for the active-streams gauge to show
+	// the release rather than racing it.
+	for svc.Metrics.Gauge(MetricStreamsActive) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %g after disconnect, want 0", MetricStreamsActive, svc.Metrics.Gauge(MetricStreamsActive))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
 	// The stream slot was released: a small campaign now runs to its
 	// outcome line on the same (single-slot) server.
 	small := testSpec(3, 1)

@@ -242,10 +242,12 @@ func (s *Service) Cancel(id string) error {
 	s.mu.Unlock()
 	st.State = StateCancelled
 	st.UpdatedUnix = time.Now().Unix()
+	// Count before the terminal status is visible, so any reader that
+	// sees StateCancelled also sees the count.
+	s.Metrics.Inc(MetricJobsCancelled, 1)
 	if err := s.store.SetStatus(id, st); err != nil {
 		return err
 	}
-	s.Metrics.Inc(MetricJobsCancelled, 1)
 	s.hub.Close(id, st)
 	return nil
 }
@@ -549,10 +551,10 @@ func (s *Service) settleRunError(id string, st Status, err error) {
 		// API cancellation.
 		st.State = StateCancelled
 		st.UpdatedUnix = time.Now().Unix()
+		s.Metrics.Inc(MetricJobsCancelled, 1) // before the status; see Cancel
 		if serr := s.store.SetStatus(id, st); serr != nil {
 			s.cfg.Logf("rangerd: %s: %v", id, serr)
 		}
-		s.Metrics.Inc(MetricJobsCancelled, 1)
 		s.hub.Close(id, st)
 		return
 	}

@@ -30,44 +30,27 @@ func kernelWorkers(flops int) int {
 }
 
 // matmulRows is the row-sharded matmul kernel body for output rows
-// [lo, hi): (m,k)x(k,n) operand slices ad/bd into od.
+// [lo, hi): (m,k)x(k,n) operand slices ad/bd into od. Wide B is blocked
+// so each blockK x blockN block stays cache-resident while every row of
+// the shard streams through it.
 func matmulRows(ad, bd, od []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		clear(orow)
-		if n <= blockN {
-			// Single j-block: the sequential kernel's loops verbatim.
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
-			}
-			continue
-		}
+	clear(od[lo*n : hi*n])
+	for j0 := 0; j0 < n; j0 += blockN {
+		j1 := min(j0+blockN, n)
 		for p0 := 0; p0 < k; p0 += blockK {
 			p1 := min(p0+blockK, k)
-			for j0 := 0; j0 < n; j0 += blockN {
-				j1 := min(j0+blockN, n)
-				ob := orow[j0:j1]
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := bd[p*n+j0 : p*n+j1]
-					for j, bv := range brow {
-						ob[j] += av * bv
-					}
-				}
-			}
+			gemmBlock(ad[lo*k+p0:], k, bd[p0*n+j0:], n, od[lo*n+j0:], n, hi-lo, p1-p0, j1-j0)
 		}
 	}
+}
+
+// matmulCols is the column-sharded matmul kernel body for output
+// columns [j0, j1) of all m rows.
+func matmulCols(ad, bd, od []float32, m, k, n, j0, j1 int) {
+	for i := 0; i < m; i++ {
+		clear(od[i*n+j0 : i*n+j1])
+	}
+	gemmBlock(ad, k, bd[j0:], n, od[j0:], n, m, k, j1-j0)
 }
 
 // PackMinRows is the row count below which the panel-packed kernel
@@ -106,20 +89,7 @@ func matmulPanels(ad, bd, od []float32, k, n, lo, hi, jw0, jw1 int, pack []float
 			for p := p0; p < p1; p++ {
 				copy(pack[(p-p0)*w:(p-p0+1)*w], bd[p*n+j0:p*n+j1])
 			}
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				ob := od[i*n+j0 : i*n+j1]
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := pack[(p-p0)*w : (p-p0)*w+w]
-					for j, bv := range brow {
-						ob[j] += av * bv
-					}
-				}
-			}
+			gemmBlock(ad[lo*k+p0:], k, pack, w, od[lo*n+j0:], n, hi-lo, p1-p0, w)
 		}
 	}
 }
@@ -208,9 +178,8 @@ func MatMulInto(dst, a, b *Tensor) (*Tensor, error) {
 	ad, bd, od := a.data, b.data, out.data
 	workers := kernelWorkers(m * k * n)
 	if m >= workers || m >= n {
-		// Row sharding: each worker owns contiguous output rows and keeps
-		// its current row resident while streaming B in p-major order,
-		// blocking j so wide B rows stay L1-resident across the p-block.
+		// Row sharding: each worker owns contiguous output rows and runs
+		// every cache-sized B block across all of them (matmulRows).
 		// The single-worker path calls the kernel directly — routing it
 		// through Shard would heap-allocate the closure per call, which
 		// the zero-alloc campaign trial loop cannot afford.
@@ -227,21 +196,7 @@ func MatMulInto(dst, a, b *Tensor) (*Tensor, error) {
 	// each worker streaming its B column stripe. Per-element accumulation
 	// is p-ascending in both paths, so results are bitwise identical.
 	parallel.Shard(workers, n, func(j0, j1 int) {
-		for i := 0; i < m; i++ {
-			arow := ad[i*k : (i+1)*k]
-			ob := od[i*n+j0 : i*n+j1]
-			clear(ob)
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n+j0 : p*n+j1]
-				for j, bv := range brow {
-					ob[j] += av * bv
-				}
-			}
-		}
+		matmulCols(ad, bd, od, m, k, n, j0, j1)
 	})
 	return out, nil
 }
