@@ -273,7 +273,9 @@
 // zero inferences. The PersistentOutcome aggregates detection rate,
 // latency distributions, SDCs served before detection and undetected,
 // repairs, and DUEs; Campaign.Adaptive composes, stratifying sequences
-// over (layer × bit band) with the same Wilson stopping rule.
+// over (layer × bit band) through the same sampler AdaptiveRun uses —
+// one round allocator, one Wilson stopping rule, one per-stratum fold —
+// with sequences in place of trials.
 //
 // The two backends expose different detector visibility, deliberately:
 // fp32 sequences replay through the hooked plan, so the detector
@@ -312,7 +314,9 @@
 // surface makes the grid Trials sequences instead (run as
 // RunPersistentSlice chunks, one sequence record per position) and the
 // completed job records a PersistentOutcome, resumable and verifiable
-// the same way.
+// the same way. One block loop serves every job kind — uniform,
+// adaptive (one AdaptiveRun round per block), and persistent: drain
+// check, run one chunk, seal and append it, note it.
 //
 // While a job runs, subscribers stream per-trial, per-block, and status
 // events (SSE over GET /v1/jobs/{id}/stream); a disconnected subscriber

@@ -90,7 +90,6 @@ type planItem struct {
 	stratum int
 	local   int   // trial index within the stratum
 	seq     int64 // position in the global allocation sequence
-	input   int
 }
 
 // adaptiveSeed derives the sampling seed for stratum trial (s, local).
@@ -187,22 +186,213 @@ type AdaptiveOutcome struct {
 	Budget int64
 }
 
+// sampler is the stratified round engine both adaptive drivers share:
+// AdaptiveRun over the activation surface and RunPersistent's
+// stratified branch over the persistent surfaces. It owns the strata,
+// their Wilson counters, the stopping rule, and the round allocator;
+// a driver executes each planned round and folds every verdict back
+// through add.
+type sampler struct {
+	mode   SamplingMode
+	defs   []stratumDef
+	acc    []stats.Stratum
+	target float64
+	budget int64
+	seq    int64
+	rounds int
+}
+
+// checkSampler rejects campaigns the stratified sampler cannot run: a
+// uniform or unknown sampling mode, a scenario without stratum
+// sampling, or an out-of-range CITarget or Strata.
+func (c *Campaign) checkSampler() error {
+	switch c.Adaptive {
+	case AdaptiveStratified, AdaptiveWorstCase:
+	case SamplingUniform:
+		return fmt.Errorf("inject: stratified sampling needs Campaign.Adaptive set")
+	default:
+		return fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
+	}
+	scen := c.scenario()
+	if _, ok := scen.(StratumScenario); !ok {
+		return fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
+	}
+	if c.CITarget < 0 || c.CITarget >= 1 {
+		return fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
+	}
+	if c.Strata < 0 {
+		return fmt.Errorf("inject: strata = %d", c.Strata)
+	}
+	return nil
+}
+
+// newSampler crosses the fault space's nodes with the campaign's bit
+// bands over bits-wide words and drives every stratum toward the
+// campaign's CI target within budget trials. Zero CITarget and Strata
+// take DefaultCITarget and DefaultStrataBands. The campaign must have
+// passed checkSampler.
+func (c *Campaign) newSampler(fs *FaultSpace, bits int, budget int64) sampler {
+	target := c.CITarget
+	if target == 0 {
+		target = DefaultCITarget
+	}
+	bands := c.Strata
+	if bands == 0 {
+		bands = DefaultStrataBands
+	}
+	defs := buildStrata(fs, bits, bands)
+	acc := make([]stats.Stratum, len(defs))
+	for i := range acc {
+		acc[i].Weight = defs[i].weight
+	}
+	return sampler{mode: c.Adaptive, defs: defs, acc: acc, target: target, budget: budget}
+}
+
+// Seq returns the number of trials folded so far (replayed plus live) —
+// the durable frontier of an adaptive job.
+func (s *sampler) Seq() int64 { return s.seq }
+
+// converged reports whether every stratum's Wilson CI half-width is at
+// or below the target.
+func (s *sampler) converged() bool {
+	for i := range s.acc {
+		if s.acc[i].HalfWidth() > s.target {
+			return false
+		}
+	}
+	return true
+}
+
+// Done reports whether the run is finished: every stratum converged, or
+// the budget is spent.
+func (s *sampler) Done() bool { return s.seq >= s.budget || s.converged() }
+
+// openStrata returns the indices of strata still above the target, in
+// allocation order: stratum order for AdaptiveStratified, descending
+// Wilson upper bound (then higher bit band, then stratum order) for
+// AdaptiveWorstCase — the strata that could still hide the largest SDC
+// rate drain the round's budget first.
+func (s *sampler) openStrata() []int {
+	open := make([]int, 0, len(s.acc))
+	for i := range s.acc {
+		if s.acc[i].HalfWidth() > s.target {
+			open = append(open, i)
+		}
+	}
+	if s.mode == AdaptiveWorstCase {
+		his := make([]float64, len(open))
+		for k, i := range open {
+			_, his[k] = stats.Wilson(s.acc[i].K, s.acc[i].N)
+		}
+		ord := make([]int, len(open))
+		for k := range ord {
+			ord[k] = k
+		}
+		sort.SliceStable(ord, func(a, b int) bool {
+			ka, kb := ord[a], ord[b]
+			if his[ka] != his[kb] {
+				return his[ka] > his[kb]
+			}
+			ia, ib := open[ka], open[kb]
+			if s.defs[ia].bitHi != s.defs[ib].bitHi {
+				return s.defs[ia].bitHi > s.defs[ib].bitHi
+			}
+			return ia < ib
+		})
+		sorted := make([]int, len(open))
+		for k, o := range ord {
+			sorted[k] = open[o]
+		}
+		open = sorted
+	}
+	return open
+}
+
+// allocateRound plans the next round: repeated passes over the open
+// strata, each pass handing a stratum up to stratumQuantum trials,
+// until the round budget — min(roundTrials, remaining budget), with 0
+// meaning DefaultRoundTrials — is filled. The plan is a pure function
+// of the per-stratum (N, K) counts and the global sequence position,
+// which is what makes adaptive runs reproducible and resumable:
+// replaying a frontier restores exactly the state the allocator
+// consumes.
+func (s *sampler) allocateRound(roundTrials int) []planItem {
+	if roundTrials <= 0 {
+		roundTrials = DefaultRoundTrials
+	}
+	roundCap := min64(s.budget-s.seq, int64(roundTrials))
+	if roundCap <= 0 {
+		return nil
+	}
+	open := s.openStrata()
+	if len(open) == 0 {
+		return nil
+	}
+	inRound := make([]int, len(s.defs))
+	plan := make([]planItem, 0, roundCap)
+	for int64(len(plan)) < roundCap {
+		for _, si := range open {
+			for q := 0; q < stratumQuantum && int64(len(plan)) < roundCap; q++ {
+				local := s.acc[si].N + inRound[si]
+				inRound[si]++
+				plan = append(plan, planItem{stratum: si, local: local, seq: s.seq + int64(len(plan))})
+			}
+			if int64(len(plan)) >= roundCap {
+				break
+			}
+		}
+	}
+	return plan
+}
+
+// trial returns the execution view of an allocated item: its private
+// sampling seed and its stratum constraint.
+func (s *sampler) trial(seed int64, it planItem) plannedTrial {
+	def := s.defs[it.stratum]
+	return plannedTrial{seed: adaptiveSeed(seed, it.stratum, it.local), node: def.node, bitLo: def.bitLo, bitHi: def.bitHi}
+}
+
+// add folds one judged trial into its stratum and advances the
+// allocation sequence.
+func (s *sampler) add(stratum int, sdc bool) {
+	s.acc[stratum].Add(sdc)
+	s.seq++
+}
+
+// results reports the per-stratum evidence, in stratum order, and
+// whether every stratum reached the target.
+func (s *sampler) results(surface string) ([]StratumResult, bool) {
+	res := make([]StratumResult, len(s.defs))
+	all := true
+	for i, def := range s.defs {
+		st := s.acc[i]
+		conv := st.HalfWidth() <= s.target
+		all = all && conv
+		res[i] = StratumResult{
+			Surface:   surface,
+			Node:      def.name,
+			BitLo:     def.bitLo,
+			BitHi:     def.bitHi,
+			Weight:    def.weight,
+			Trials:    st.N,
+			SDCs:      st.K,
+			Estimate:  st.Proportion(),
+			Converged: conv,
+		}
+	}
+	return res, all
+}
+
 // AdaptiveRun is a resumable adaptive campaign: rounds of stratified
 // trials with sequential early stopping. The zero value is not usable;
 // build one with NewAdaptiveRun, optionally replay a durable frontier
 // through ReplayTrial, then call NextRound until Done.
 type AdaptiveRun struct {
-	c      *Campaign
-	inputs []graph.Feeds
-	exec   *campaignExec
-	spaces []*FaultSpace
-	defs   []stratumDef
-	acc    []stats.Stratum
-	target float64
-	budget int64
-
-	seq     int64
-	rounds  int
+	sampler
+	c       *Campaign
+	inputs  []graph.Feeds
+	exec    *campaignExec
+	spaces  []*FaultSpace
 	out     Outcome
 	started bool // a live round ran; replay is no longer allowed
 
@@ -232,36 +422,14 @@ func sameSpace(a, b *FaultSpace) bool {
 // (same nodes, same sizes) — otherwise the strata would be
 // ill-defined.
 func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
-	switch c.Adaptive {
-	case AdaptiveStratified, AdaptiveWorstCase:
-	case SamplingUniform:
-		return nil, fmt.Errorf("inject: NewAdaptiveRun needs Campaign.Adaptive set")
-	default:
-		return nil, fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
+	if err := c.checkSampler(); err != nil {
+		return nil, err
 	}
 	if s := c.surface(); s.Persistent() {
 		return nil, fmt.Errorf("inject: stratified persistent campaigns run in-engine through RunPersistent, not NewAdaptiveRun")
 	}
 	if err := c.validate(inputs); err != nil {
 		return nil, err
-	}
-	scen := c.scenario()
-	if _, ok := scen.(StratumScenario); !ok {
-		return nil, fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
-	}
-	if c.CITarget < 0 || c.CITarget >= 1 {
-		return nil, fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
-	}
-	if c.Strata < 0 {
-		return nil, fmt.Errorf("inject: strata = %d", c.Strata)
-	}
-	target := c.CITarget
-	if target == 0 {
-		target = DefaultCITarget
-	}
-	bands := c.Strata
-	if bands == 0 {
-		bands = DefaultStrataBands
 	}
 	exec, err := c.newExec()
 	if err != nil {
@@ -282,135 +450,13 @@ func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
 	if c.Calibration != nil {
 		bits = 8 // faults strike the stored int8 word
 	}
-	defs := buildStrata(spaces[0], bits, bands)
-	acc := make([]stats.Stratum, len(defs))
-	for i := range acc {
-		acc[i].Weight = defs[i].weight
-	}
 	return &AdaptiveRun{
-		c:      c,
-		inputs: inputs,
-		exec:   exec,
-		spaces: spaces,
-		defs:   defs,
-		acc:    acc,
-		target: target,
-		budget: c.GridSize(inputs),
+		sampler: c.newSampler(spaces[0], bits, c.GridSize(inputs)),
+		c:       c,
+		inputs:  inputs,
+		exec:    exec,
+		spaces:  spaces,
 	}, nil
-}
-
-// Seq returns the number of trials folded so far (replayed plus live) —
-// the durable frontier of an adaptive job.
-func (ar *AdaptiveRun) Seq() int64 { return ar.seq }
-
-// Done reports whether the run is finished: every stratum's Wilson CI
-// half-width is at or below the target, or the budget is spent.
-func (ar *AdaptiveRun) Done() bool {
-	if ar.seq >= ar.budget {
-		return true
-	}
-	for i := range ar.acc {
-		if ar.acc[i].HalfWidth() > ar.target {
-			return false
-		}
-	}
-	return true
-}
-
-func (ar *AdaptiveRun) roundTrials() int {
-	if ar.RoundTrials > 0 {
-		return ar.RoundTrials
-	}
-	return DefaultRoundTrials
-}
-
-// openStrata returns the indices of strata still above the target, in
-// allocation order.
-func (ar *AdaptiveRun) openStrata() []int {
-	return openStrataOrder(ar.c.Adaptive, ar.defs, ar.acc, ar.target)
-}
-
-// openStrataOrder returns the indices of strata still above the target,
-// in allocation order: stratum order for AdaptiveStratified, descending
-// Wilson upper bound (then higher bit band, then stratum order) for
-// AdaptiveWorstCase — the strata that could still hide the largest SDC
-// rate drain the round's budget first. Shared by the activation-surface
-// AdaptiveRun and the stratified persistent engine.
-func openStrataOrder(mode SamplingMode, defs []stratumDef, acc []stats.Stratum, target float64) []int {
-	open := make([]int, 0, len(acc))
-	for i := range acc {
-		if acc[i].HalfWidth() > target {
-			open = append(open, i)
-		}
-	}
-	if mode == AdaptiveWorstCase {
-		his := make([]float64, len(open))
-		for k, i := range open {
-			_, his[k] = stats.Wilson(acc[i].K, acc[i].N)
-		}
-		ord := make([]int, len(open))
-		for k := range ord {
-			ord[k] = k
-		}
-		sort.SliceStable(ord, func(a, b int) bool {
-			ka, kb := ord[a], ord[b]
-			if his[ka] != his[kb] {
-				return his[ka] > his[kb]
-			}
-			ia, ib := open[ka], open[kb]
-			if defs[ia].bitHi != defs[ib].bitHi {
-				return defs[ia].bitHi > defs[ib].bitHi
-			}
-			return ia < ib
-		})
-		sorted := make([]int, len(open))
-		for k, o := range ord {
-			sorted[k] = open[o]
-		}
-		open = sorted
-	}
-	return open
-}
-
-// allocateRound plans the next round: repeated passes over the open
-// strata, each pass handing a stratum up to stratumQuantum trials,
-// until the round budget — min(RoundTrials, remaining budget) — is
-// filled. The plan is a pure function of the per-stratum (N, K) counts
-// and the global sequence position, which is what makes adaptive runs
-// reproducible and resumable: replaying a frontier restores exactly the
-// state the allocator consumes.
-func (ar *AdaptiveRun) allocateRound() []planItem {
-	roundCap := ar.budget - ar.seq
-	if rt := int64(ar.roundTrials()); roundCap > rt {
-		roundCap = rt
-	}
-	if roundCap <= 0 {
-		return nil
-	}
-	open := ar.openStrata()
-	if len(open) == 0 {
-		return nil
-	}
-	inRound := make([]int, len(ar.defs))
-	plan := make([]planItem, 0, roundCap)
-	for int64(len(plan)) < roundCap {
-		for _, si := range open {
-			for q := 0; q < stratumQuantum && int64(len(plan)) < roundCap; q++ {
-				local := ar.acc[si].N + inRound[si]
-				inRound[si]++
-				plan = append(plan, planItem{
-					stratum: si,
-					local:   local,
-					seq:     ar.seq + int64(len(plan)),
-					input:   local % len(ar.inputs),
-				})
-			}
-			if int64(len(plan)) >= roundCap {
-				break
-			}
-		}
-	}
-	return plan
 }
 
 // ReplayTrial folds one previously persisted trial back into the run —
@@ -428,8 +474,7 @@ func (ar *AdaptiveRun) ReplayTrial(stratum int, top1, top5, isReg bool, dev floa
 	}
 	v := trialVerdict{top1: top1, top5: top5, dev: dev, isReg: isReg}
 	v.apply(&ar.out)
-	ar.acc[stratum].Add(ar.c.isSDC(v))
-	ar.seq++
+	ar.add(stratum, ar.c.isSDC(v))
 	return nil
 }
 
@@ -445,7 +490,7 @@ func (ar *AdaptiveRun) ReplayTrial(stratum int, top1, top5, isReg bool, dev floa
 // the Run contract. OnTrial streams each trial with its Stratum and Seq
 // filled in. A call when the run is Done is a no-op.
 func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
-	plan := ar.allocateRound()
+	plan := ar.allocateRound(ar.RoundTrials)
 	if len(plan) == 0 {
 		return Outcome{}, nil
 	}
@@ -453,11 +498,11 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 	verdicts := make([]trialVerdict, len(plan))
 	groups := make([][]int, len(ar.inputs))
 	for idx, it := range plan {
-		groups[it.input] = append(groups[it.input], idx)
+		ii := it.local % len(ar.inputs)
+		groups[ii] = append(groups[ii], idx)
 	}
 	workers := parallel.Resolve(ar.c.Workers)
-	for ii := range ar.inputs {
-		idxs := groups[ii]
+	for ii, idxs := range groups {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -471,21 +516,14 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 		}
 		pts := make([]plannedTrial, len(idxs))
 		for k, idx := range idxs {
-			it := plan[idx]
-			def := ar.defs[it.stratum]
-			pts[k] = plannedTrial{
-				seed:  adaptiveSeed(ar.c.Seed, it.stratum, it.local),
-				node:  def.node,
-				bitLo: def.bitLo,
-				bitHi: def.bitHi,
-			}
+			pts[k] = ar.trial(ar.c.Seed, plan[idx])
 		}
 		sub := make([]trialVerdict, len(idxs))
 		var emit func(slot int)
 		if ar.c.OnTrial != nil {
 			emit = func(slot int) {
 				it := plan[idxs[slot]]
-				tr := sub[slot].result(it.input, it.local)
+				tr := sub[slot].result(ii, it.local)
 				tr.Stratum = it.stratum
 				tr.Seq = it.seq
 				ar.c.OnTrial(tr)
@@ -505,13 +543,12 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 	for idx, it := range plan {
 		v := verdicts[idx]
 		v.apply(&part)
-		ar.acc[it.stratum].Add(ar.c.isSDC(v))
+		ar.add(it.stratum, ar.c.isSDC(v))
 	}
 	ar.out.Trials += part.Trials
 	ar.out.Top1SDC += part.Top1SDC
 	ar.out.Top5SDC += part.Top5SDC
 	ar.out.Deviations = append(ar.out.Deviations, part.Deviations...)
-	ar.seq += int64(len(plan))
 	ar.rounds++
 	return part, nil
 }
@@ -520,32 +557,13 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 // per-stratum evidence, and the post-stratified population estimate.
 func (ar *AdaptiveRun) Result() AdaptiveOutcome {
 	res := AdaptiveOutcome{
-		Outcome:   ar.out,
-		Estimate:  stats.Stratified(ar.acc),
-		CITarget:  ar.target,
-		Converged: true,
-		Rounds:    ar.rounds,
-		Budget:    ar.budget,
+		Outcome:  ar.out,
+		Estimate: stats.Stratified(ar.acc),
+		CITarget: ar.target,
+		Rounds:   ar.rounds,
+		Budget:   ar.budget,
 	}
-	res.Strata = make([]StratumResult, len(ar.defs))
-	for i, def := range ar.defs {
-		s := ar.acc[i]
-		conv := s.HalfWidth() <= ar.target
-		if !conv {
-			res.Converged = false
-		}
-		res.Strata[i] = StratumResult{
-			Surface:   ar.c.surface().Name(),
-			Node:      def.name,
-			BitLo:     def.bitLo,
-			BitHi:     def.bitHi,
-			Weight:    def.weight,
-			Trials:    s.N,
-			SDCs:      s.K,
-			Estimate:  s.Proportion(),
-			Converged: conv,
-		}
-	}
+	res.Strata, res.Converged = ar.results(ar.c.surface().Name())
 	return res
 }
 
@@ -601,16 +619,14 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	if err != nil {
 		return 0, false, err
 	}
+	// The fresh run's strata and counters accumulate the uniform
+	// evidence, so the baseline stops by the adaptive run's own check.
 	fs := ar.spaces[0]
 	nodeIdx := make(map[string]int, len(fs.Nodes()))
 	for i, name := range fs.Nodes() {
 		nodeIdx[name] = i
 	}
 	nBands := len(ar.defs) / len(fs.Nodes())
-	acc := make([]stats.Stratum, len(ar.defs))
-	for i := range acc {
-		acc[i].Weight = ar.defs[i].weight
-	}
 	// classify re-samples a trial's private stream and returns the
 	// stratum its primary (first) site lands in. Calls arrive through
 	// OnTrial, which the shard serializes, so the shared rng is safe.
@@ -638,19 +654,8 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	uc.Adaptive = SamplingUniform
 	uc.Trials = int(cap)
 	uc.OnTrial = func(tr TrialResult) {
-		sdc := tr.Top1SDC
-		if tr.IsRegression {
-			sdc = tr.Deviation > c.regSDCThreshold()
-		}
-		acc[classify(tr.Trial)].Add(sdc)
-	}
-	converged := func() bool {
-		for i := range acc {
-			if acc[i].HalfWidth() > ar.target {
-				return false
-			}
-		}
-		return true
+		v := trialVerdict{top1: tr.Top1SDC, dev: tr.Deviation, isReg: tr.IsRegression}
+		ar.add(classify(tr.Trial), c.isSDC(v))
 	}
 	const chunk = 512
 	done := int64(0)
@@ -660,7 +665,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 			return 0, false, err
 		}
 		done += n
-		if converged() {
+		if ar.converged() {
 			return done, true, nil
 		}
 	}

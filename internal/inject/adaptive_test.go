@@ -183,8 +183,7 @@ func TestAdaptiveWorstCasePrioritizesHighBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar.RoundTrials = 64
-	plan := ar.allocateRound()
+	plan := ar.allocateRound(64)
 	if len(plan) != 64 {
 		t.Fatalf("plan = %d items", len(plan))
 	}

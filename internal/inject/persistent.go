@@ -11,7 +11,6 @@ import (
 
 	"ranger/internal/graph"
 	"ranger/internal/parallel"
-	"ranger/internal/stats"
 	"ranger/internal/tensor"
 )
 
@@ -731,15 +730,12 @@ func (w *quantParamWorker) repair() { w.st.ClearOverrides() }
 func (w *quantParamWorker) clear() { w.repair() }
 
 // plannedSeq is one allocated persistent sequence: its global position,
-// its private sampling seed, and (under stratified sampling) its
+// its stratum (-1 under uniform sampling), and its sampling seed and
 // stratum constraint.
 type plannedSeq struct {
 	seq     int64
-	seed    int64
-	stratum int // -1 under uniform sampling
-	node    int
-	bitLo   int
-	bitHi   int
+	stratum int
+	plannedTrial
 }
 
 // bitsEqual reports byte-exact equality of two float32 slices (bit
@@ -881,17 +877,51 @@ func (c *Campaign) runPersistentShard(ctx context.Context, exec *persistentExec,
 
 // RunPersistent executes the persistent campaign over the given inputs:
 // Trials sequences, each injecting one persistent fault and running
-// SequenceLen inferences over the cycling input set. Under an Adaptive
-// sampling mode it dispatches to the stratified persistent engine
-// (strata over surface-node × bit-band with per-stratum Wilson
-// stopping); otherwise it is RunPersistentSlice over the whole grid.
+// SequenceLen inferences over the cycling input set. Without an
+// Adaptive sampling mode it is RunPersistentSlice over the whole grid.
+// With one, the adaptive sampler allocates the sequences in rounds over
+// (surface node × bit band) strata, with Trials as the budget and "the
+// sequence served at least one SDC" as each stratum's Wilson criterion.
 // Cancellation follows the Run contract: ctx.Err() and a zero outcome,
 // never a partial fold.
 func (c *Campaign) RunPersistent(ctx context.Context, inputs []graph.Feeds) (PersistentOutcome, error) {
-	if c.Adaptive != SamplingUniform {
-		return c.runPersistentStratified(ctx, inputs)
+	if c.Adaptive == SamplingUniform {
+		return c.RunPersistentSlice(ctx, inputs, 0, c.PersistentGridSize())
 	}
-	return c.RunPersistentSlice(ctx, inputs, 0, c.PersistentGridSize())
+	if err := c.checkSampler(); err != nil {
+		return PersistentOutcome{}, err
+	}
+	if err := c.validatePersistent(inputs); err != nil {
+		return PersistentOutcome{}, err
+	}
+	exec, err := c.newPersistentExec(inputs)
+	if err != nil {
+		return PersistentOutcome{}, err
+	}
+	s := c.newSampler(exec.space, exec.bits, c.PersistentGridSize())
+	var out PersistentOutcome
+	for !s.Done() {
+		items := s.allocateRound(0)
+		plan := make([]plannedSeq, len(items))
+		for i, it := range items {
+			plan[i] = plannedSeq{seq: it.seq, stratum: it.stratum, plannedTrial: s.trial(c.Seed, it)}
+		}
+		results := make([]SequenceResult, len(plan))
+		if err := c.runPersistentShard(ctx, exec, plan, results); err != nil {
+			return PersistentOutcome{}, err
+		}
+		for i, r := range results {
+			r.Apply(&out)
+			s.add(plan[i].stratum, r.sdc())
+		}
+		s.rounds++
+	}
+	if err := ctx.Err(); err != nil {
+		return PersistentOutcome{}, err
+	}
+	out.Strata, out.Converged = s.results(c.surface().Name())
+	out.Rounds = s.rounds
+	return out, nil
 }
 
 // RunPersistentSlice executes the sub-range [start, end) of the
@@ -921,7 +951,7 @@ func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds,
 	plan := make([]plannedSeq, n)
 	for i := range plan {
 		s := start + int64(i)
-		plan[i] = plannedSeq{seq: s, seed: sequenceSeed(c.Seed, s), stratum: -1}
+		plan[i] = plannedSeq{seq: s, stratum: -1, plannedTrial: plannedTrial{seed: sequenceSeed(c.Seed, s)}}
 	}
 	results := make([]SequenceResult, n)
 	if err := c.runPersistentShard(ctx, exec, plan, results); err != nil {
@@ -933,119 +963,6 @@ func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds,
 	var out PersistentOutcome
 	for i := range results {
 		results[i].Apply(&out)
-	}
-	return out, nil
-}
-
-// runPersistentStratified is the adaptive persistent engine: strata
-// over (surface node × bit band), trials allocated in deterministic
-// quantum-robin rounds over the still-open strata (ordered by Wilson
-// upper bound under AdaptiveWorstCase), each stratum stopping once its
-// Wilson CI half-width over the per-sequence SDC criterion falls below
-// CITarget, with Trials as the total sequence budget.
-func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.Feeds) (PersistentOutcome, error) {
-	switch c.Adaptive {
-	case AdaptiveStratified, AdaptiveWorstCase:
-	default:
-		return PersistentOutcome{}, fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
-	}
-	if err := c.validatePersistent(inputs); err != nil {
-		return PersistentOutcome{}, err
-	}
-	scen := c.scenario()
-	if _, ok := scen.(StratumScenario); !ok {
-		return PersistentOutcome{}, fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
-	}
-	if c.CITarget < 0 || c.CITarget >= 1 {
-		return PersistentOutcome{}, fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
-	}
-	if c.Strata < 0 {
-		return PersistentOutcome{}, fmt.Errorf("inject: strata = %d", c.Strata)
-	}
-	target := c.CITarget
-	if target == 0 {
-		target = DefaultCITarget
-	}
-	bands := c.Strata
-	if bands == 0 {
-		bands = DefaultStrataBands
-	}
-	exec, err := c.newPersistentExec(inputs)
-	if err != nil {
-		return PersistentOutcome{}, err
-	}
-	defs := buildStrata(exec.space, exec.bits, bands)
-	acc := make([]stats.Stratum, len(defs))
-	for i := range acc {
-		acc[i].Weight = defs[i].weight
-	}
-	budget := c.PersistentGridSize()
-	var out PersistentOutcome
-	var seq int64
-	for seq < budget {
-		open := openStrataOrder(c.Adaptive, defs, acc, target)
-		if len(open) == 0 {
-			break
-		}
-		roundCap := budget - seq
-		if roundCap > DefaultRoundTrials {
-			roundCap = DefaultRoundTrials
-		}
-		inRound := make([]int, len(defs))
-		plan := make([]plannedSeq, 0, roundCap)
-		for int64(len(plan)) < roundCap {
-			for _, si := range open {
-				for q := 0; q < stratumQuantum && int64(len(plan)) < roundCap; q++ {
-					local := acc[si].N + inRound[si]
-					inRound[si]++
-					plan = append(plan, plannedSeq{
-						seq:     seq + int64(len(plan)),
-						seed:    adaptiveSeed(c.Seed, si, local),
-						stratum: si,
-						node:    defs[si].node,
-						bitLo:   defs[si].bitLo,
-						bitHi:   defs[si].bitHi,
-					})
-				}
-				if int64(len(plan)) >= roundCap {
-					break
-				}
-			}
-		}
-		results := make([]SequenceResult, len(plan))
-		if err := c.runPersistentShard(ctx, exec, plan, results); err != nil {
-			return PersistentOutcome{}, err
-		}
-		for i := range results {
-			results[i].Apply(&out)
-			acc[plan[i].stratum].Add(results[i].sdc())
-		}
-		seq += int64(len(plan))
-		out.Rounds++
-	}
-	if err := ctx.Err(); err != nil {
-		return PersistentOutcome{}, err
-	}
-	surfName := c.surface().Name()
-	out.Strata = make([]StratumResult, len(defs))
-	out.Converged = true
-	for i, def := range defs {
-		s := acc[i]
-		conv := s.HalfWidth() <= target
-		if !conv {
-			out.Converged = false
-		}
-		out.Strata[i] = StratumResult{
-			Surface:   surfName,
-			Node:      def.name,
-			BitLo:     def.bitLo,
-			BitHi:     def.bitHi,
-			Weight:    def.weight,
-			Trials:    s.N,
-			SDCs:      s.K,
-			Estimate:  s.Proportion(),
-			Converged: conv,
-		}
 	}
 	return out, nil
 }

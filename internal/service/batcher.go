@@ -1,7 +1,7 @@
 // The block batcher: bridges a campaign's streamed per-trial results
 // into the durable hash chain. Trials arrive in scheduling order from
 // concurrent workers; the batcher buffers one chunk's records, seals
-// them into the next chain block when the chunk's RunSlice returns, and
+// them into the next chain block when the chunk returns, and
 // appends it durably — batching trial writes at block granularity so
 // durability costs one fsync per block instead of one per trial under
 // load.
@@ -15,11 +15,10 @@ import (
 )
 
 // batcher accumulates one job's trial records between block boundaries
-// and maintains the chain cursor (sequence, previous hash, durable
-// frontier, running aggregate). It is not itself goroutine-safe: Add is
-// called from Campaign.OnTrial, whose invocations the campaign
-// serializes, and flush is called only after RunSlice returns (which
-// orders all OnTrial calls before it).
+// and maintains the chain cursor. It is not itself goroutine-safe:
+// records arrive through Campaign.OnTrial or OnSequence, whose
+// invocations the campaign serializes, and Flush is called only after
+// the chunk returns (which orders every callback before it).
 type batcher struct {
 	store      Store
 	id         string
@@ -27,12 +26,9 @@ type batcher struct {
 	seqOrdered bool // records order by sequence number, not grid
 	persistent bool // sequence records folding a PersistentOutcome
 
-	seq      int
-	prev     string
-	frontier int64
-	outcome  inject.Outcome
-	pout     inject.PersistentOutcome
-
+	// sum is the durable cursor and aggregate: the verified chain the
+	// job resumed from, advanced by every block sealed since.
+	sum     ChainSummary
 	pending []TrialRecord
 }
 
@@ -46,102 +42,52 @@ func newBatcher(store Store, man Manifest, sum ChainSummary) *batcher {
 		trials:     man.Spec.Trials,
 		seqOrdered: man.Spec.Adaptive != "" || persistent,
 		persistent: persistent,
-		seq:        sum.Blocks,
-		prev:       sum.LastHash,
-		frontier:   sum.Frontier,
-		outcome:    sum.Outcome,
-		pout:       sum.Persistent,
+		sum:        sum,
 	}
 }
 
-// Add buffers one streamed trial result for the current block.
-func (b *batcher) Add(tr inject.TrialResult) {
-	b.pending = append(b.pending, NewTrialRecord(tr))
-}
-
-// AddSequence buffers one streamed persistent sequence result.
-func (b *batcher) AddSequence(sr inject.SequenceResult) {
-	b.pending = append(b.pending, NewSequenceRecord(sr))
+// chunk is one executed chunk's live result: the end of the range it
+// covered from the frontier, and its fold — outcome for transient and
+// adaptive jobs, persistent for persistent-surface jobs.
+type chunk struct {
+	end        int64
+	outcome    inject.Outcome
+	persistent inject.PersistentOutcome
 }
 
 // Flush seals the buffered records into the chain block covering
-// [frontier, end), appends it durably, and advances the cursor. The
-// chunk's partial Outcome (RunSlice's return) cross-checks the fold: the
-// persisted chain must reproduce exactly what the live campaign
-// reported, or the block is not written.
-func (b *batcher) Flush(end int64, part inject.Outcome) (Block, error) {
-	if int64(len(b.pending)) != end-b.frontier || part.Trials != len(b.pending) {
+// [frontier, c.end), appends it durably, and advances the cursor. The
+// chunk's live fold cross-checks the records: the persisted chain must
+// reproduce exactly what the live campaign reported, or the block is
+// not written.
+func (b *batcher) Flush(c chunk) (Block, error) {
+	n, folded := int64(len(b.pending)), int64(c.outcome.Trials)+c.persistent.Sequences
+	if n != c.end-b.sum.Frontier || folded != n {
 		return Block{}, fmt.Errorf("service: %s: chunk [%d,%d) streamed %d records, outcome folded %d",
-			b.id, b.frontier, end, len(b.pending), part.Trials)
+			b.id, b.sum.Frontier, c.end, n, folded)
 	}
-	blk, err := sealBlock(b.seq, b.frontier, end, b.prev, b.trials, b.seqOrdered, b.pending)
+	blk, err := sealBlock(b.sum.Blocks, b.sum.Frontier, c.end, b.sum.LastHash, b.trials, b.seqOrdered, b.pending)
 	if err != nil {
 		return Block{}, fmt.Errorf("service: %s: %w", b.id, err)
 	}
-	var check inject.Outcome
+	var check ChainSummary
 	for _, r := range blk.Results {
-		r.apply(&check)
+		check.fold(r, b.persistent)
 	}
-	if !outcomeEqual(check, part) {
-		return Block{}, fmt.Errorf("service: %s: block %d fold disagrees with live outcome", b.id, b.seq)
+	if !outcomeEqual(check.Outcome, c.outcome) || !persistentOutcomeEqual(check.Persistent, c.persistent) {
+		return Block{}, fmt.Errorf("service: %s: block %d fold disagrees with live outcome", b.id, b.sum.Blocks)
 	}
 	if err := b.store.Append(b.id, blk); err != nil {
 		return Block{}, err
 	}
-	b.seq++
-	b.prev = blk.Hash
-	b.frontier = end
+	b.sum.Blocks++
+	b.sum.LastHash = blk.Hash
+	b.sum.Frontier = c.end
 	b.pending = nil
-	mergeOutcome(&b.outcome, part)
+	mergeOutcome(&b.sum.Outcome, c.outcome)
+	mergePersistentOutcome(&b.sum.Persistent, c.persistent)
 	return blk, nil
 }
-
-// FlushPersistent is Flush for persistent-surface jobs: the buffered
-// sequence records seal into the next block, their refold is
-// cross-checked bit-exactly against the chunk's live PersistentOutcome,
-// and the running persistent aggregate advances.
-func (b *batcher) FlushPersistent(end int64, part inject.PersistentOutcome) (Block, error) {
-	if int64(len(b.pending)) != end-b.frontier || part.Sequences != int64(len(b.pending)) {
-		return Block{}, fmt.Errorf("service: %s: chunk [%d,%d) streamed %d records, outcome folded %d",
-			b.id, b.frontier, end, len(b.pending), part.Sequences)
-	}
-	blk, err := sealBlock(b.seq, b.frontier, end, b.prev, b.trials, b.seqOrdered, b.pending)
-	if err != nil {
-		return Block{}, fmt.Errorf("service: %s: %w", b.id, err)
-	}
-	var check inject.PersistentOutcome
-	for _, r := range blk.Results {
-		r.applyPersistent(&check)
-	}
-	if !persistentOutcomeEqual(check, part) {
-		return Block{}, fmt.Errorf("service: %s: block %d fold disagrees with live outcome", b.id, b.seq)
-	}
-	if err := b.store.Append(b.id, blk); err != nil {
-		return Block{}, err
-	}
-	b.seq++
-	b.prev = blk.Hash
-	b.frontier = end
-	b.pending = nil
-	mergePersistentOutcome(&b.pout, part)
-	return blk, nil
-}
-
-// Frontier returns the durable grid frontier.
-func (b *batcher) Frontier() int64 { return b.frontier }
-
-// Outcome returns the durable aggregate folded so far.
-func (b *batcher) Outcome() inject.Outcome { return b.outcome }
-
-// PersistentOutcome returns the durable persistent aggregate folded so
-// far (persistent-surface jobs).
-func (b *batcher) PersistentOutcome() inject.PersistentOutcome { return b.pout }
-
-// LastHash returns the latest chain hash.
-func (b *batcher) LastHash() string { return b.prev }
-
-// Blocks returns the persisted block count.
-func (b *batcher) Blocks() int { return b.seq }
 
 // mergeOutcome concatenates a later slice's aggregate onto an earlier
 // one — the fold RunSlice guarantees matches an uninterrupted Run.

@@ -110,6 +110,15 @@ type ChainSummary struct {
 	Complete bool
 }
 
+// fold folds one record into the aggregate of its job kind.
+func (s *ChainSummary) fold(r TrialRecord, persistent bool) {
+	if persistent {
+		r.applyPersistent(&s.Persistent)
+	} else {
+		r.apply(&s.Outcome)
+	}
+}
+
 // VerifyChain checks a job's block chain against its manifest: the
 // manifest seal, block-hash seals, prev-hash linkage from the spec hash,
 // contiguous [Start, End) coverage from grid position 0, and in-order
@@ -149,11 +158,7 @@ func VerifyChain(man Manifest, blocks []Block) (ChainSummary, error) {
 				return ChainSummary{}, fmt.Errorf("service: %s: block %d record %d at grid position %d, want %d",
 					man.ID, i, j, r.pos(trials, seqOrdered), b.Start+int64(j))
 			}
-			if persistent {
-				r.applyPersistent(&sum.Persistent)
-			} else {
-				r.apply(&sum.Outcome)
-			}
+			sum.fold(r, persistent)
 		}
 		sum.Frontier = b.End
 		sum.LastHash = b.Hash

@@ -1,5 +1,5 @@
 // The service metrics layer: job and trial counters, queue-depth and
-// running-jobs gauges, and a per-trial latency histogram, exposed in
+// running-jobs gauges, and a block-duration histogram, exposed in
 // Prometheus text format on /metrics. Everything is stdlib: a mutex, a
 // few integers, and fixed histogram buckets.
 package service
@@ -12,14 +12,15 @@ import (
 	"time"
 )
 
-// latencyBuckets are the per-trial latency histogram upper bounds, in
-// seconds. Campaign trials on this substrate span ~50µs (suffix-replayed
-// late-layer faults on small models) to ~1s (full replay on the deepest
-// models), so the buckets cover that range log-spaced.
-var latencyBuckets = []float64{
-	50e-6, 100e-6, 250e-6, 500e-6,
+// blockBuckets are the block-duration histogram upper bounds, in
+// seconds. A block is BlockTrials trials (or one adaptive round) run,
+// sealed, and appended: a few ms for small blocks of suffix-replayed
+// faults on small models, up to minutes for large blocks of full
+// replays on the deepest models, so the buckets cover that range
+// log-spaced.
+var blockBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
-	1, 2.5, 5,
+	1, 2.5, 5, 10, 25, 50, 100, 250,
 }
 
 // Metrics instruments the service. All methods are safe for concurrent
@@ -30,7 +31,7 @@ type Metrics struct {
 	counters map[string]uint64
 	gauges   map[string]func() float64
 
-	histCounts []uint64 // per latencyBuckets bucket, non-cumulative
+	histCounts []uint64 // per blockBuckets bucket, non-cumulative
 	histInf    uint64
 	histSum    float64
 }
@@ -40,7 +41,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counters:   make(map[string]uint64),
 		gauges:     make(map[string]func() float64),
-		histCounts: make([]uint64, len(latencyBuckets)),
+		histCounts: make([]uint64, len(blockBuckets)),
 	}
 }
 
@@ -96,28 +97,22 @@ func (m *Metrics) Gauge(name string) float64 {
 	return fn()
 }
 
-// ObserveTrials folds one executed chunk into the per-trial latency
-// histogram: n trials at the chunk's mean per-trial latency. Observing
-// the mean once per trial keeps _count equal to the trial count without
-// timing every trial on the hot path.
-func (m *Metrics) ObserveTrials(n int, elapsed time.Duration) {
-	if n <= 0 {
-		return
-	}
-	per := elapsed.Seconds() / float64(n)
+// ObserveBlock records one sealed block's duration in the
+// block-duration histogram.
+func (m *Metrics) ObserveBlock(elapsed time.Duration) {
+	sec := elapsed.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.histSum += elapsed.Seconds()
-	idx := sort.SearchFloat64s(latencyBuckets, per)
-	if idx < len(latencyBuckets) {
-		m.histCounts[idx] += uint64(n)
+	m.histSum += sec
+	if idx := sort.SearchFloat64s(blockBuckets, sec); idx < len(blockBuckets) {
+		m.histCounts[idx]++
 	} else {
-		m.histInf += uint64(n)
+		m.histInf++
 	}
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition
-// format (counters, gauges, and the trial-latency histogram).
+// format (counters, gauges, and the block-duration histogram).
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -140,10 +135,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, m.gauges[name]())
 	}
 
-	const hist = "rangerd_trial_latency_seconds"
+	const hist = "rangerd_block_seconds"
 	fmt.Fprintf(w, "# TYPE %s histogram\n", hist)
 	var cum uint64
-	for i, ub := range latencyBuckets {
+	for i, ub := range blockBuckets {
 		cum += m.histCounts[i]
 		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", hist, fmt.Sprintf("%g", ub), cum)
 	}

@@ -181,7 +181,10 @@ func TestServerEndToEnd(t *testing.T) {
 		"rangerd_jobs_completed_total 1",
 		"rangerd_trials_total 20",
 		"rangerd_queue_depth 0",
-		"rangerd_trial_latency_seconds_count",
+		// Grid 20 in blocks of 6: four sealed blocks, one duration
+		// observation each.
+		"rangerd_blocks_persisted_total 4",
+		"rangerd_block_seconds_count 4",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics missing %q", want)

@@ -1,6 +1,7 @@
 // The service core: a bounded job queue feeding a pool of job workers,
-// durable execution by chunked RunSlice, crash recovery, and graceful
-// drain. The HTTP layer (server.go) is a thin shell over this type.
+// durable execution by one chunked block loop for every job kind, crash
+// recovery, and graceful drain. The HTTP layer (server.go) is a thin
+// shell over this type.
 package service
 
 import (
@@ -372,157 +373,101 @@ func (s *Service) runJob(id string) {
 		return
 	}
 	b := newBatcher(s.store, man, sum)
-	if man.Spec.Persistent() {
-		rt.campaign.OnSequence = func(sr inject.SequenceResult) {
-			b.AddSequence(sr)
-			s.hub.Publish(id, "sequence", NewSequenceRecord(sr))
-		}
-		s.runPersistent(jobCtx, id, man, st, rt, b)
-		return
-	}
-	rt.campaign.OnTrial = func(tr inject.TrialResult) {
-		b.Add(tr)
-		s.hub.Publish(id, "trial", NewTrialRecord(tr))
-	}
-
-	if man.Spec.Adaptive != "" {
-		s.runAdaptive(jobCtx, id, man, st, blocks, rt, b)
-		return
-	}
-
-	block := int64(man.Spec.BlockTrials)
-	for b.Frontier() < man.GridTotal {
-		select {
-		case <-s.drainCh:
-			// Graceful drain: the current block is already persisted;
-			// park the job back on the durable queue.
-			s.park(id, st)
-			return
-		default:
-		}
-		start := b.Frontier()
-		end := start + block
-		if end > man.GridTotal {
-			end = man.GridTotal
-		}
-		t0 := time.Now()
-		part, err := rt.campaign.RunSlice(jobCtx, rt.inputs, start, end)
-		if err != nil {
-			s.settleRunError(id, st, err)
-			return
-		}
-		blk, err := b.Flush(end, part)
-		if err != nil {
-			s.fail(id, st, err)
-			return
-		}
-		if err := s.noteBlock(id, &st, b, blk, part.Trials, t0); err != nil {
-			s.fail(id, st, err)
-			return
-		}
-	}
-	s.complete(id, st, b)
-}
-
-// runPersistent executes a persistent-surface job from its durable
-// frontier: the sequence grid runs as consecutive RunPersistentSlice
-// chunks, each persisted as one hash-chained block of sequence records.
-// Sequences keep their absolute sampling streams across restarts, so a
-// resumed job's blocks — and its folded PersistentOutcome — are
-// byte-identical to an uninterrupted run's from every block boundary.
-func (s *Service) runPersistent(ctx context.Context, id string, man Manifest, st Status, rt *jobRuntime, b *batcher) {
-	block := int64(man.Spec.BlockTrials)
-	for b.Frontier() < man.GridTotal {
-		select {
-		case <-s.drainCh:
-			// Graceful drain: the current block is already persisted;
-			// park the job back on the durable queue.
-			s.park(id, st)
-			return
-		default:
-		}
-		start := b.Frontier()
-		end := start + block
-		if end > man.GridTotal {
-			end = man.GridTotal
-		}
-		t0 := time.Now()
-		part, err := rt.campaign.RunPersistentSlice(ctx, rt.inputs, start, end)
-		if err != nil {
-			s.settleRunError(id, st, err)
-			return
-		}
-		blk, err := b.FlushPersistent(end, part)
-		if err != nil {
-			s.fail(id, st, err)
-			return
-		}
-		if err := s.noteBlock(id, &st, b, blk, int(part.Sequences), t0); err != nil {
-			s.fail(id, st, err)
-			return
-		}
-	}
-	s.complete(id, st, b)
-}
-
-// runAdaptive executes an adaptive job from its durable frontier. The
-// engine's per-stratum state is restored by replaying every persisted
-// record in chain (allocation) order — round allocation is a pure
-// function of the restored counts, so the resumed job continues
-// byte-identically to an uninterrupted one. Each live round becomes one
-// chain block; the job completes when the engine stops (every stratum
-// at its CI target, or budget spent), usually with the chain frontier
-// well short of the manifest grid total.
-func (s *Service) runAdaptive(ctx context.Context, id string, man Manifest, st Status, blocks []Block, rt *jobRuntime, b *batcher) {
-	ar, err := rt.campaign.NewAdaptiveRun(rt.inputs)
+	done, step, err := s.blockStep(id, man, blocks, rt, b)
 	if err != nil {
 		s.fail(id, st, err)
 		return
+	}
+	// The block loop, one for every job kind: each pass runs one chunk
+	// from the durable frontier, seals it into the chain, and notes it.
+	for !done() {
+		select {
+		case <-s.drainCh:
+			// Graceful drain: the current block is already persisted;
+			// park the job back on the durable queue.
+			s.park(id, st)
+			return
+		default:
+		}
+		t0 := time.Now()
+		c, err := step(jobCtx)
+		var blk Block
+		if err == nil {
+			blk, err = b.Flush(c)
+		}
+		if err == nil {
+			err = s.noteBlock(id, &st, b, blk, t0)
+		}
+		if err != nil {
+			s.settleRunError(id, st, err)
+			return
+		}
+	}
+	s.complete(id, st, b)
+}
+
+// blockStep wires a job's campaign to its batcher and returns the job
+// kind's step: each call runs the next chunk from the durable frontier
+// and returns its live fold; done reports that no chunk is left.
+//   - Uniform jobs run consecutive RunSlice chunks of BlockTrials trials
+//     over the manifest grid.
+//   - Persistent-surface jobs do the same with RunPersistentSlice over
+//     the sequence grid. Sequences keep their absolute sampling streams,
+//     so a resumed job's blocks are byte-identical to an uninterrupted
+//     run's from every block boundary.
+//   - Adaptive jobs first replay every persisted record in chain
+//     (allocation) order; round allocation is a pure function of the
+//     restored counts, so the resumed job continues byte-identically.
+//     Each live round of BlockTrials trials is one chunk, and the job
+//     completes when the engine stops (every stratum at its CI target,
+//     or budget spent), usually short of the manifest grid total.
+func (s *Service) blockStep(id string, man Manifest, blocks []Block, rt *jobRuntime, b *batcher) (func() bool, func(context.Context) (chunk, error), error) {
+	c := rt.campaign
+	gridDone := func() bool { return b.sum.Frontier >= man.GridTotal }
+	nextEnd := func() int64 { return min(b.sum.Frontier+int64(man.Spec.BlockTrials), man.GridTotal) }
+	if man.Spec.Persistent() {
+		c.OnSequence = func(sr inject.SequenceResult) {
+			rec := NewSequenceRecord(sr)
+			b.pending = append(b.pending, rec)
+			s.hub.Publish(id, "sequence", rec)
+		}
+		return gridDone, func(ctx context.Context) (chunk, error) {
+			end := nextEnd()
+			part, err := c.RunPersistentSlice(ctx, rt.inputs, b.sum.Frontier, end)
+			return chunk{end: end, persistent: part}, err
+		}, nil
+	}
+	c.OnTrial = func(tr inject.TrialResult) {
+		rec := NewTrialRecord(tr)
+		b.pending = append(b.pending, rec)
+		s.hub.Publish(id, "trial", rec)
+	}
+	if man.Spec.Adaptive == "" {
+		return gridDone, func(ctx context.Context) (chunk, error) {
+			end := nextEnd()
+			part, err := c.RunSlice(ctx, rt.inputs, b.sum.Frontier, end)
+			return chunk{end: end, outcome: part}, err
+		}, nil
+	}
+	ar, err := c.NewAdaptiveRun(rt.inputs)
+	if err != nil {
+		return nil, nil, err
 	}
 	ar.RoundTrials = man.Spec.BlockTrials
 	for _, blk := range blocks {
 		for _, r := range blk.Results {
 			if err := ar.ReplayTrial(r.Stratum, r.Top1, r.Top5, r.Reg, math.Float64frombits(r.DevBits)); err != nil {
-				s.fail(id, st, fmt.Errorf("adaptive replay: %w", err))
-				return
+				return nil, nil, fmt.Errorf("adaptive replay: %w", err)
 			}
 		}
 	}
-	if ar.Seq() != b.Frontier() {
-		s.fail(id, st, fmt.Errorf("adaptive replay reached seq %d, chain frontier %d", ar.Seq(), b.Frontier()))
-		return
+	if ar.Seq() != b.sum.Frontier {
+		return nil, nil, fmt.Errorf("adaptive replay reached seq %d, chain frontier %d", ar.Seq(), b.sum.Frontier)
 	}
-	for !ar.Done() {
-		select {
-		case <-s.drainCh:
-			// Graceful drain: completed rounds are already persisted;
-			// park the job back on the durable queue.
-			s.park(id, st)
-			return
-		default:
-		}
-		start := ar.Seq()
-		t0 := time.Now()
+	return ar.Done, func(ctx context.Context) (chunk, error) {
 		part, err := ar.NextRound(ctx)
-		if err != nil {
-			s.settleRunError(id, st, err)
-			return
-		}
-		end := ar.Seq()
-		if end == start {
-			break
-		}
-		blk, err := b.Flush(end, part)
-		if err != nil {
-			s.fail(id, st, err)
-			return
-		}
-		if err := s.noteBlock(id, &st, b, blk, part.Trials, t0); err != nil {
-			s.fail(id, st, err)
-			return
-		}
-	}
-	s.complete(id, st, b)
+		return chunk{end: ar.Seq(), outcome: part}, err
+	}, nil
 }
 
 // park returns an interrupted job to the durable queue (graceful drain
@@ -538,9 +483,9 @@ func (s *Service) park(id string, st Status) {
 	s.hub.Publish(id, "status", st)
 }
 
-// settleRunError maps a chunk execution error to the job's fate: hard
-// stop parks the job for resume, API cancellation closes it, anything
-// else fails it.
+// settleRunError maps a block error — running, sealing, or recording
+// the chunk — to the job's fate: hard stop parks the job for resume,
+// API cancellation closes it, anything else fails it.
 func (s *Service) settleRunError(id string, st Status, err error) {
 	if errors.Is(err, context.Canceled) {
 		if s.rootCtx.Err() != nil {
@@ -562,14 +507,16 @@ func (s *Service) settleRunError(id string, st Status, err error) {
 }
 
 // noteBlock records a freshly persisted block: metrics, the advancing
-// status record, and the block event for streaming watchers.
-func (s *Service) noteBlock(id string, st *Status, b *batcher, blk Block, trials int, t0 time.Time) error {
+// status record, and the block event for streaming watchers. t0 is when
+// the block's chunk started, so the block-duration histogram covers
+// execution, sealing, and the durable append.
+func (s *Service) noteBlock(id string, st *Status, b *batcher, blk Block, t0 time.Time) error {
 	s.Metrics.Inc(MetricBlocksPersisted, 1)
-	s.Metrics.Inc(MetricTrialsRun, uint64(trials))
-	s.Metrics.ObserveTrials(trials, time.Since(t0))
-	st.Frontier = b.Frontier()
-	st.Blocks = b.Blocks()
-	st.LastHash = b.LastHash()
+	s.Metrics.Inc(MetricTrialsRun, uint64(len(blk.Results)))
+	s.Metrics.ObserveBlock(time.Since(t0))
+	st.Frontier = b.sum.Frontier
+	st.Blocks = b.sum.Blocks
+	st.LastHash = b.sum.LastHash
 	st.UpdatedUnix = time.Now().Unix()
 	if err := s.store.SetStatus(id, *st); err != nil {
 		return err
@@ -587,11 +534,11 @@ func (s *Service) noteBlock(id string, st *Status, b *batcher, blk Block, trials
 func (s *Service) complete(id string, st Status, b *batcher) {
 	var trials int64
 	if b.persistent {
-		out := RecordPersistentOutcome(b.PersistentOutcome())
+		out := RecordPersistentOutcome(b.sum.Persistent)
 		st.Persistent = &out
 		trials = out.Sequences
 	} else {
-		out := RecordOutcome(b.Outcome())
+		out := RecordOutcome(b.sum.Outcome)
 		st.Outcome = &out
 		trials = int64(out.Trials)
 	}

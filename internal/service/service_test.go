@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -270,51 +271,90 @@ func TestHardStopMidJobResumes(t *testing.T) {
 // TestDrainParksRunningJob checks graceful drain: the worker finishes
 // its current block, the job returns to the durable queue, and a fresh
 // service completes it.
-func TestDrainParksRunningJob(t *testing.T) {
-	dir := t.TempDir()
-	svc := newTestService(t, dir, nil)
-	svc.Start()
-	spec := testSpec(50, 2) // grid 100
-	spec.BlockTrials = 4
-	man, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, st, err := svc.Job(man.ID)
-		if err != nil {
-			t.Fatalf("Job: %v", err)
-		}
-		if st.Frontier >= 4 || st.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no persisted progress before deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	svc.Drain()
-	_, st, err := svc.Job(man.ID)
-	if err != nil {
-		t.Fatalf("Job: %v", err)
-	}
-	if st.State != StateQueued && st.State != StateCompleted {
-		t.Fatalf("drained job is %s, want queued (or already completed)", st.State)
-	}
-	if _, err := svc.Submit(testSpec(1, 1)); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Submit while draining = %v, want ErrDraining", err)
-	}
+// gatedStore holds the first block append open until released, so a
+// test can begin a drain while a job is known to be mid-run.
+type gatedStore struct {
+	Store
+	once     sync.Once
+	appended chan struct{}
+	release  chan struct{}
+}
 
-	svc2 := newTestService(t, dir, nil)
-	svc2.Start()
-	defer svc2.Stop()
-	final := waitTerminal(t, svc2, man.ID, 60*time.Second)
-	if final.State != StateCompleted {
-		t.Fatalf("parked job finished %s (%s)", final.State, final.Error)
-	}
-	if ref := referenceOutcome(t, man.Spec); !reflect.DeepEqual(*final.Outcome, ref) {
-		t.Fatalf("parked-and-resumed outcome %+v != reference %+v", *final.Outcome, ref)
+func (g *gatedStore) Append(id string, b Block) error {
+	err := g.Store.Append(id, b)
+	g.once.Do(func() {
+		close(g.appended)
+		<-g.release
+	})
+	return err
+}
+
+// TestDrainParksRunningJob drains each job kind right after its first
+// persisted block: the block loop must park the job with that block as
+// its frontier, and a restarted service must resume it to the outcome
+// and chain head of an uninterrupted run.
+func TestDrainParksRunningJob(t *testing.T) {
+	uniform := testSpec(50, 2) // grid 100
+	uniform.BlockTrials = 4
+	persistent := persistentTestSpec(12, 2)
+	persistent.BlockTrials = 3
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{{"uniform", uniform}, {"adaptive", adaptiveTestSpec()}, {"persistent", persistent}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gate := &gatedStore{appended: make(chan struct{}), release: make(chan struct{})}
+			svc := newTestService(t, dir, func(c *Config) {
+				gate.Store = c.Store
+				c.Store = gate
+			})
+			svc.Start()
+			man, err := svc.Submit(tc.spec)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			select {
+			case <-gate.appended:
+			case <-time.After(60 * time.Second):
+				t.Fatal("no block persisted before deadline")
+			}
+			drained := make(chan struct{})
+			go func() {
+				svc.Drain()
+				close(drained)
+			}()
+			<-svc.drainCh
+			close(gate.release)
+			<-drained
+			_, st, err := svc.Job(man.ID)
+			if err != nil {
+				t.Fatalf("Job: %v", err)
+			}
+			if st.State != StateQueued || st.Blocks != 1 {
+				t.Fatalf("drained job is %s with %d blocks, want queued with 1", st.State, st.Blocks)
+			}
+			if n := svc.Metrics.Counter(MetricJobsInterrupted); n != 1 {
+				t.Fatalf("interrupted counter = %d", n)
+			}
+			if _, err := svc.Submit(testSpec(1, 1)); !errors.Is(err, ErrDraining) {
+				t.Fatalf("Submit while draining = %v, want ErrDraining", err)
+			}
+
+			svc2 := newTestService(t, dir, nil)
+			svc2.Start()
+			defer svc2.Stop()
+			final := waitTerminal(t, svc2, man.ID, 60*time.Second)
+			if final.State != StateCompleted {
+				t.Fatalf("parked job finished %s (%s)", final.State, final.Error)
+			}
+			ref := resumeFrom(t, man, nil, 0)
+			if !reflect.DeepEqual(final.Outcome, ref.Outcome) || !reflect.DeepEqual(final.Persistent, ref.Persistent) ||
+				final.LastHash != ref.LastHash {
+				t.Fatalf("parked-and-resumed job diverged from an uninterrupted run: %+v %+v / %s vs %+v %+v / %s",
+					final.Outcome, final.Persistent, final.LastHash, ref.Outcome, ref.Persistent, ref.LastHash)
+			}
+		})
 	}
 }
 
@@ -531,9 +571,11 @@ func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	m.Inc(MetricJobsSubmitted, 3)
 	m.SetGauge("rangerd_queue_depth", func() float64 { return 2 })
-	// ~0.5ms per trial: whichever side of the 500µs bucket boundary the
-	// division lands on, the cumulative count at le=1ms is 10.
-	m.ObserveTrials(10, 5*time.Millisecond)
+	// One observation per sealed block: 3ms and 4ms land in the 5ms
+	// bucket, 2 minutes in 250s, and 10 minutes past the last bound.
+	for _, d := range []time.Duration{3 * time.Millisecond, 4 * time.Millisecond, 2 * time.Minute, 10 * time.Minute} {
+		m.ObserveBlock(d)
+	}
 	var buf strings.Builder
 	m.WritePrometheus(&buf)
 	out := buf.String()
@@ -542,10 +584,14 @@ func TestMetricsExposition(t *testing.T) {
 		"rangerd_jobs_submitted_total 3",
 		"# TYPE rangerd_queue_depth gauge",
 		"rangerd_queue_depth 2",
-		"# TYPE rangerd_trial_latency_seconds histogram",
-		`rangerd_trial_latency_seconds_bucket{le="0.001"} 10`,
-		`rangerd_trial_latency_seconds_bucket{le="+Inf"} 10`,
-		"rangerd_trial_latency_seconds_count 10",
+		"# TYPE rangerd_block_seconds histogram",
+		`rangerd_block_seconds_bucket{le="0.0025"} 0`,
+		`rangerd_block_seconds_bucket{le="0.005"} 2`,
+		`rangerd_block_seconds_bucket{le="100"} 2`,
+		`rangerd_block_seconds_bucket{le="250"} 3`,
+		`rangerd_block_seconds_bucket{le="+Inf"} 4`,
+		"rangerd_block_seconds_sum 720.007",
+		"rangerd_block_seconds_count 4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -10,7 +10,11 @@
 #   3. persistent: submit a persistent weight-surface job (sequences of
 #      inferences over a stuck weight fault), kill -9 mid-run, restart,
 #      and require it to resume to a completed PersistentOutcome.
-#   4. verify: `rangerd verify` re-validates every chain with no daemon.
+#   4. adaptive: submit an adaptive stratified job (one allocation round
+#      per block), kill -9 after its first persisted block, restart, and
+#      require it to resume (replaying the persisted per-stratum
+#      evidence) to completion.
+#   5. verify: `rangerd verify` re-validates every chain with no daemon.
 #
 # Requires curl and jq. Respects $RANGERD (binary path, default builds
 # nothing — pass it) and $PORT.
@@ -120,6 +124,33 @@ kill "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null || true
 PID=""
 
+echo "== adaptive: stratified job, kill -9 after the first block, resume"
+start_daemon
+ID4=$(submit '{"model":"lenet","trials":600,"inputs":1,"seed":14,"untrained":true,"adaptive":"stratified","block_trials":16}')
+for _ in $(seq 1 300); do
+  FRONTIER=$(job_field "$ID4" .status.frontier)
+  [ "$FRONTIER" -ge 16 ] && break
+  sleep 0.1
+done
+[ "$FRONTIER" -ge 16 ] || fail "adaptive job $ID4 persisted no progress before the kill"
+kill -9 "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+STATE=$(jq -r .state "$DATA/$ID4/status.json")
+[ "$STATE" != completed ] || fail "adaptive job $ID4 completed before the kill; nothing to resume"
+
+start_daemon
+wait_state "$ID4" completed 600
+curl -fsS "$BASE/metrics" | grep -qx 'rangerd_jobs_resumed_total 1' ||
+  fail "adaptive job $ID4 did not resume past its persisted frontier"
+TRIALS=$(job_field "$ID4" .status.outcome.trials)
+FRONTIER=$(job_field "$ID4" .status.frontier)
+[ "$TRIALS" -gt 16 ] && [ "$TRIALS" = "$FRONTIER" ] ||
+  fail "adaptive job $ID4 completed with $TRIALS trials at frontier $FRONTIER"
+kill "$PID" 2>/dev/null
+wait "$PID" 2>/dev/null || true
+PID=""
+
 echo "== verify: offline re-validation of every chain"
 "$BIN" verify -data "$DATA" || fail "rangerd verify rejected the store"
 
@@ -136,4 +167,4 @@ fi
 mv "$CHAIN.orig" "$CHAIN"
 "$BIN" verify -data "$DATA" "$ID1" >/dev/null || fail "restored chain failed verification"
 
-echo "SMOKE OK: submit, stream, kill -9 resume ($HASH1 ...), persistent-surface resume, offline verify, tamper detection"
+echo "SMOKE OK: submit, stream, kill -9 resume ($HASH1 ...), persistent-surface resume, adaptive resume, offline verify, tamper detection"

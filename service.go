@@ -80,8 +80,7 @@ type Service = service.Service
 type ServiceConfig = service.Config
 
 // ServiceMetrics is the service's metrics registry (counters, gauges,
-// and the per-trial latency histogram, exposed in Prometheus text
-// format).
+// and the block-duration histogram, exposed in Prometheus text format).
 type ServiceMetrics = service.Metrics
 
 // Backpressure and lifecycle sentinels of Service.Submit.
