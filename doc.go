@@ -87,23 +87,34 @@
 // plans; fused and unfused execution are bit-identical to the per-call
 // Executor at every worker count.
 //
-// # fp32 GEMM kernels
+// # GEMM kernels
 //
-// Every fp32 forward matmul ends in one inner block. On amd64 CPUs with
-// AVX2 (detected once with CPUID and XGETBV, in assembly) it runs Go
-// assembly microkernels: a 4-row register tile that shares each weight
-// load across four patch or lane rows, and a single-row kernel for the
-// rows left over. Builds with the purego tag, other architectures and
-// CPUs without AVX2 run the Go loop instead; no option selects the path,
-// because both give the same bits. The contract, per output element:
-// products are accumulated for p ascending, each a separately rounded
-// multiply then a separately rounded add (no FMA), with the Go
-// compiler's operand order (weight times activation, then product plus
-// accumulator), which fixes NaN payloads and signs; and activations
-// equal to ±0 are skipped. The zero-skip is kept deliberately so every
-// golden stays byte-identical, although it hides weights corrupted to
-// Inf or NaN wherever they meet a zero; IEEE-faithful kernels for
-// faulted layers are a separate roadmap item.
+// Every forward matmul, fp32 and int8, ends in one inner block. On amd64
+// CPUs with AVX2 (detected once with CPUID and XGETBV, in assembly) it
+// runs Go assembly microkernels: a 4-row register tile that shares each
+// weight load across four patch or lane rows, and a single-row kernel
+// for the rows left over. The last n%8 columns run there too, through
+// masked loads and stores that touch no element past an operand's end.
+// Builds with the purego tag, other architectures and CPUs without AVX2
+// run the Go loops instead; no option selects the path, because both
+// give the same bits.
+//
+// The fp32 contract, per output element: products are accumulated for
+// p ascending, each a separately rounded multiply then a separately
+// rounded add (no FMA, which explicit float32 conversions also forbid
+// on arm64), with the Go compiler's operand order (weight times
+// activation, then product plus accumulator), which fixes NaN payloads
+// and signs; and activations equal to ±0 are skipped. The zero-skip is
+// kept deliberately so every golden stays byte-identical, although it
+// hides weights corrupted to Inf or NaN wherever they meet a zero;
+// IEEE-faithful kernels for faulted layers are a separate roadmap item.
+//
+// The int8 kernel packs each weight block, on every call, into int16
+// pairs of rows p and p+1, broadcasts each row's (a[p]−za, a[p+1]−za)
+// as one pair, and adds both products into int32 with VPMADDWD and
+// VPADDD. It is exact by construction: |a−za| <= 255 and |w| <= 128, so
+// no pair sum saturates, int32 addition wraps exactly as Go's does, and
+// integer addition does not depend on order or on skipped zeros.
 //
 // # Quantization lifecycle
 //

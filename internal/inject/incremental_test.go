@@ -149,6 +149,53 @@ func TestIncrementalTrialZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIncrementalInt8TrialZeroAlloc is TestIncrementalTrialZeroAlloc on
+// the int8 backend: with lenet quantized and a late-layer fault space,
+// one steady-state BitFlipInt8 incremental trial must not allocate at
+// all. Run without -race (instrumentation allocates).
+func TestIncrementalInt8TrialZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	m, feeds := lenetInputs(t, 1)
+	late := lateCorruptibleNodes(t, m, 3)
+	c := &Campaign{Model: m, Trials: 1, Seed: 9, TargetNodes: late,
+		Scenario: BitFlipInt8{Flips: 1}, Calibration: lenetCalibration(t, m, feeds)}
+	exec, err := c.newExec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := buildFaultSpace(m, feeds[0], nil, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := exec.prepare(feeds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := exec.newTrial(feeds[0], fs).run
+	const trials = 64
+	for trial := 0; trial < trials; trial++ {
+		if _, err := run(0, trial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trial := 0
+	avg := testing.AllocsPerRun(trials-1, func() {
+		faulty, err := run(0, trial%trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.judgeTrial(ref, faulty)
+		trial++
+	})
+	if avg != 0 {
+		t.Fatalf("int8 incremental trial loop allocates %.2f allocs/trial in steady state, want 0", avg)
+	}
+}
+
 // TestIncrementalLaneBatchedZeroAlloc extends the zero-alloc gate to the
 // lane-batched hot path: once the worker's LaneReplay for a width is
 // warm, a B-trial batched chunk — reseed and sample B streams, one

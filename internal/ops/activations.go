@@ -102,7 +102,7 @@ func Tanh() graph.Op {
 		typ: TypeTanh,
 		f:   func(x float32) float32 { return float32(math.Tanh(float64(x))) },
 		dfdx: func(_, y float32) float32 {
-			return 1 - y*y
+			return 1 - float32(y*y)
 		},
 	}
 }
@@ -148,7 +148,7 @@ func Atan() graph.Op {
 		typ: TypeAtan,
 		f:   func(x float32) float32 { return float32(math.Atan(float64(x))) },
 		dfdx: func(x, _ float32) float32 {
-			return float32(1 / (1 + float64(x)*float64(x)))
+			return float32(1 / (1 + float64(float64(x)*float64(x))))
 		},
 	}
 }

@@ -114,7 +114,7 @@ func (c *ClipOp) fill(x, out *tensor.Tensor) {
 			if v < c.Low || v > c.High {
 				h := parallel.Mix64(uint64(math.Float32bits(v)) | uint64(i+1)<<32)
 				u := float32(h>>11) / float32(1<<53)
-				od[i] = c.Low + u*span
+				od[i] = c.Low + float32(u*span)
 			} else {
 				od[i] = v
 			}

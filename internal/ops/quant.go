@@ -141,7 +141,7 @@ func clampRoundQ(q float32, qlo, qhi int32) int8 {
 // chains, the fast path) or the full float stage sequence
 // (Tanh/Atan/Scale heads). All failure modes are configuration errors
 // caught here at build time; the returned closure is infallible, which
-// matters because QMatMul invokes it from concurrent shard workers.
+// matters because the int8 GEMM invokes it from concurrent shard workers.
 func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (func(acc []int32, outRow []int8), error) {
 	m := inQ.Scale * wQ.Scale // int32 accumulator unit, in real value
 	if bias, relu, clamp, lo, hi, ok := canonicalBRC(stages); ok {
@@ -185,7 +185,7 @@ func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (fu
 		}
 		return func(acc []int32, outRow []int8) {
 			for j, a := range acc {
-				outRow[j] = clampRoundQ(float32(zo)+float32(a-corr[j])*msc, qlo, qhi)
+				outRow[j] = clampRoundQ(float32(zo)+float32(float32(a-corr[j])*msc), qlo, qhi)
 			}
 		}, nil
 	}
@@ -251,12 +251,7 @@ func (DenseOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, []int
 		if x == nil || x.Rank() != 2 || x.Dim(1) != k {
 			return fmt.Errorf("matmul: quantized input does not match (?,%d)", k)
 		}
-		if m := x.Dim(0); m >= tensor.PackMinRows {
-			// Lane-batched input: packed panels, int32 accumulation —
-			// identical results (exact integer arithmetic).
-			return tensor.QMatMulPack(x.Data(), za, m, k, wq, n, out.Data(), requant, tmp)
-		}
-		return tensor.QMatMul(x.Data(), za, x.Dim(0), k, wq, n, out.Data(), requant)
+		return tensor.QMatMulPack(x.Data(), za, x.Dim(0), k, wq, n, out.Data(), requant, tmp)
 	}, wq, nil
 }
 
@@ -297,10 +292,7 @@ func (c *Conv2DOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, [
 		if err := tensor.QIm2ColInto(patch, x, geom, pad); err != nil {
 			return err
 		}
-		if rows >= tensor.PackMinRows {
-			return tensor.QMatMulPack(patch, za, rows, rowLen, wq, n, out.Data(), requant, tmp)
-		}
-		return tensor.QMatMul(patch, za, rows, rowLen, wq, n, out.Data(), requant)
+		return tensor.QMatMulPack(patch, za, rows, rowLen, wq, n, out.Data(), requant, tmp)
 	}, wq, nil
 }
 

@@ -93,7 +93,7 @@ func (XentOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 			if p < 1e-12 {
 				p = 1e-12
 			}
-			loss -= float64(l) * math.Log(p)
+			loss -= float64(float64(l) * math.Log(p))
 		}
 	}
 	n := logits.Dim(0)
@@ -135,7 +135,7 @@ func (MSEOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	var s float64
 	for i := range pd {
 		d := float64(pd[i] - td[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return tensor.Scalar(float32(s / float64(len(pd)))), nil
 }

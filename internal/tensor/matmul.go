@@ -60,8 +60,8 @@ func matmulCols(ad, bd, od []float32, m, k, n, j0, j1 int) {
 // panel only pays for itself once it is reused across a few rows.
 const PackMinRows = 4
 
-// PackPanelLen is the float32 (or int8) capacity of one packed B-panel
-// block — the buffer callers hand MatMulPackInto to keep its packing
+// PackPanelLen is the float32 capacity of one packed B-panel block —
+// the buffer callers hand MatMulPackInto to keep its packing
 // allocation-free on the campaign hot path.
 const PackPanelLen = blockK * blockN
 
@@ -236,7 +236,7 @@ func MatMulTransAInto(dst, a, b *Tensor) (*Tensor, error) {
 				}
 				orow := od[i*n+j0 : i*n+j1]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float32(av * bv)
 				}
 			}
 		}
@@ -273,7 +273,7 @@ func MatMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
 				brow := bd[j*k : (j+1)*k]
 				var s float32
 				for p, av := range arow {
-					s += av * brow[p]
+					s += float32(av * brow[p])
 				}
 				orow[j] = s
 			}

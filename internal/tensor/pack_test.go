@@ -76,8 +76,9 @@ func TestMatMulPackBitIdentical(t *testing.T) {
 	parallel.SetWorkers(0)
 }
 
-// TestQMatMulPackIdentical pins the packed int8 kernel to QMatMul: the
-// int32 accumulation is exact, so outputs must match byte for byte.
+// TestQMatMulPackIdentical pins QMatMulPack, with a reused scratch and
+// with none, to QMatMul: the int32 accumulation is exact, so outputs
+// must match byte for byte.
 func TestQMatMulPackIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	requant := func(acc []int32, outRow []int8) {

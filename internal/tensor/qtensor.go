@@ -82,7 +82,7 @@ func (p QParams) Quantize(v float32) int8 {
 
 // Dequantize maps a stored int8 value back to its real value.
 func (p QParams) Dequantize(q int8) float32 {
-	return p.Scale * float32(int32(q)-p.Zero)
+	return float32(p.Scale * float32(int32(q)-p.Zero))
 }
 
 // QTensor is a dense int8 tensor in row-major order with per-tensor

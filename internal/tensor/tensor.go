@@ -261,7 +261,7 @@ func (t *Tensor) AxpyInPlace(a float32, u *Tensor) error {
 		return fmt.Errorf("%w: axpy %v += a*%v", ErrShape, t.shape, u.shape)
 	}
 	for i := range t.data {
-		t.data[i] += a * u.data[i]
+		t.data[i] += float32(a * u.data[i])
 	}
 	return nil
 }
@@ -351,7 +351,7 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) *Tensor {
 // RandUniform fills t with U[lo, hi) samples from rng and returns t.
 func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) *Tensor {
 	for i := range t.data {
-		t.data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 	return t
 }
