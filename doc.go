@@ -95,6 +95,8 @@
 // weight load across four patch or lane rows, and a single-row kernel
 // for the rows left over. The last n%8 columns run there too, through
 // masked loads and stores that touch no element past an operand's end.
+// Single-row int8 blocks (batch-1 Dense) run the Go loop, which beats
+// packing the weights for one row.
 // Builds with the purego tag, other architectures and CPUs without AVX2
 // run the Go loops instead; no option selects the path, because both
 // give the same bits.

@@ -81,12 +81,19 @@ func qgemmBlock(a []int8, lda int, za int32, w []int8, ldw int, acc []int32, ldc
 			m, kc, nw, len(a), lda, len(w), ldw, len(acc), ldc, len(pk)))
 	}
 	// The kernels hold a−za in int16, exact for any int8 zero point.
-	if gemmAVX2 && za >= -128 && za <= 127 {
+	if gemmAVX2 && m >= qpackMinRows && za >= -128 && za <= 127 {
 		qgemmBlockAVX2(a, lda, za, w, ldw, acc, ldc, m, kc, nw, pk)
 		return
 	}
 	qgemmBlockGo(a, lda, za, w, ldw, acc, ldc, m, kc, nw)
 }
+
+// qpackMinRows is the row count below which qgemmBlock runs the Go loop
+// even where the assembly is available: one row cannot amortize the
+// scalar pack of the whole weight block. BenchmarkQGEMMShapes puts the
+// Go loop about 1.4× ahead at batch-1 Dense shapes (m = 1) and the
+// assembly ahead from m = 2.
+const qpackMinRows = 2
 
 // qpackLen is the int32 count of a kc×nw weight block packed as int16
 // pairs: one dword per pair of rows and column, with the columns padded

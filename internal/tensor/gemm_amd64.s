@@ -160,6 +160,9 @@ next16:
 	JMP  tile16
 
 tile8:
+	// A full 8-column chunk keeps unmasked loads: sending it through the
+	// masked loop below measured about 12% slower at dave's 658×150×9
+	// (BenchmarkGEMMShapes, 20 alternating runs).
 	CMPQ BX, $8
 	JLT  tilemask
 	LEAQ (DI)(CX*2), AX

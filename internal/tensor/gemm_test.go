@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ranger/internal/parallel"
@@ -216,17 +217,22 @@ var daveShapes = [][3]int{
 	{3038, 75, 6}, {658, 150, 9}, {110, 225, 12}, {60, 108, 16}, {18, 144, 16},
 }
 
+// denseShapes are the batch-1 (m = 1) Dense GEMMs of dave (288→100→50)
+// and lenet (400→120→84→10).
+var denseShapes = [][3]int{{1, 288, 100}, {1, 100, 50}, {1, 400, 120}, {1, 120, 84}, {1, 84, 10}}
+
 // BenchmarkGEMMShapes reports GFLOP/s of the panel-packed conv GEMM on
 // one worker, on post-ReLU-like operands (about half the activations
 // zero), with the assembly kernels and with the Go reference loops, at
-// vgg11's lane-8 shapes and dave's batch-1 shapes.
+// vgg11's lane-8 shapes, dave's batch-1 conv shapes and dave's and
+// lenet's batch-1 Dense shapes (single rows, on the row kernel).
 func BenchmarkGEMMShapes(b *testing.B) {
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)
 	avx2 := gemmAVX2
 	defer func() { gemmAVX2 = avx2 }()
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range append(vgg11Lane8Shapes, daveShapes...) {
+	for _, s := range slices.Concat(vgg11Lane8Shapes, daveShapes, denseShapes) {
 		m, k, n := s[0], s[1], s[2]
 		a, w := New(m, k), New(k, n)
 		for i := range a.data {
@@ -254,9 +260,10 @@ func BenchmarkGEMMShapes(b *testing.B) {
 }
 
 // BenchmarkQGEMMShapes reports GOP/s (a multiply and an add per tap) of
-// the int8 GEMM on one worker at dave's batch-1 conv shapes, with the
-// assembly kernels and with the Go reference loop. About half the
-// activations sit at the zero point, as after a ReLU.
+// the int8 GEMM on one worker at dave's batch-1 conv shapes and dave's
+// and lenet's batch-1 Dense shapes, with the assembly kernels and with
+// the Go reference loop. About half the activations sit at the zero
+// point, as after a ReLU.
 func BenchmarkQGEMMShapes(b *testing.B) {
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)
@@ -269,7 +276,7 @@ func BenchmarkQGEMMShapes(b *testing.B) {
 			outRow[j] = int8(min(127, max(-128, v>>12)))
 		}
 	}
-	for _, s := range daveShapes {
+	for _, s := range append(daveShapes, denseShapes...) {
 		m, k, n := s[0], s[1], s[2]
 		a, w, out := make([]int8, m*k), make([]int8, k*n), make([]int8, m*n)
 		for i := range a {

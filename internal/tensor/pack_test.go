@@ -76,9 +76,13 @@ func TestMatMulPackBitIdentical(t *testing.T) {
 	parallel.SetWorkers(0)
 }
 
-// TestQMatMulPackIdentical pins QMatMulPack, with a reused scratch and
-// with none, to QMatMul: the int32 accumulation is exact, so outputs
-// must match byte for byte.
+// TestQMatMulPackIdentical pins QMatMul and QMatMulPack, with a reused
+// scratch, to a plain unblocked triple loop, on the assembly kernels
+// (where the CPU has them) and on the Go loop. The int32 accumulation is
+// exact, so outputs must match byte for byte. The larger shapes pass
+// blockK and blockN, so the column blocks and p-blocks of qmatmulPanels,
+// its column sharding (2 workers, two column blocks) and its row
+// sharding (4 workers) are all checked against the oracle.
 func TestQMatMulPackIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	requant := func(acc []int32, outRow []int8) {
@@ -92,44 +96,58 @@ func TestQMatMulPackIdentical(t *testing.T) {
 			outRow[j] = int8(q)
 		}
 	}
+	avx2 := gemmAVX2
+	defer func() { gemmAVX2 = avx2 }()
+	defer parallel.SetWorkers(0)
 	shapes := [][3]int{{2, 9, 5}, {4, 40, 33}, {12, 130, 600}, {33, 256, 1024}}
-	for _, workers := range []int{1, 4} {
-		parallel.SetWorkers(workers)
-		for _, sh := range shapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := make([]int8, m*k)
-			w := make([]int8, k*n)
-			for i := range a {
-				a[i] = int8(rng.Intn(256) - 128)
-			}
-			for i := range w {
-				w[i] = int8(rng.Intn(256) - 128)
-			}
-			za := int32(a[0]) // make some operands hit the zero-skip
-			want := make([]int8, m*n)
-			if err := QMatMul(a, za, m, k, w, n, want, requant); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]int8, m*n)
-			var tmp QScratch
-			if err := QMatMulPack(a, za, m, k, w, n, got, requant, &tmp); err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range want {
-				if got[i] != v {
-					t.Fatalf("workers=%d (%d,%d,%d): elem %d: packed %d != %d", workers, m, k, n, i, got[i], v)
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		a := make([]int8, m*k)
+		w := make([]int8, k*n)
+		for i := range a {
+			a[i] = int8(rng.Intn(256) - 128)
+		}
+		for i := range w {
+			w[i] = int8(rng.Intn(256) - 128)
+		}
+		za := int32(a[0]) // make some operands hit the zero-skip
+		want := make([]int8, m*n)
+		acc := make([]int32, n)
+		for i := 0; i < m; i++ {
+			for j := range acc {
+				acc[j] = 0
+				for p := 0; p < k; p++ {
+					acc[j] += (int32(a[i*k+p]) - za) * int32(w[p*n+j])
 				}
 			}
-			got2 := make([]int8, m*n)
-			if err := QMatMulPack(a, za, m, k, w, n, got2, requant, nil); err != nil {
-				t.Fatal(err)
+			requant(acc, want[i*n:(i+1)*n])
+		}
+		for _, impl := range []bool{true, false} {
+			if impl && !avx2 {
+				continue
 			}
-			for i, v := range want {
-				if got2[i] != v {
-					t.Fatalf("workers=%d nil-tmp elem %d: %d != %d", workers, i, got2[i], v)
+			gemmAVX2 = impl
+			for _, workers := range []int{1, 2, 4} {
+				parallel.SetWorkers(workers)
+				got := make([]int8, m*n)
+				if err := QMatMul(a, za, m, k, w, n, got, requant); err != nil {
+					t.Fatal(err)
+				}
+				var tmp QScratch
+				got2 := make([]int8, m*n)
+				for range 2 {
+					tmp.Reset()
+					if err := QMatMulPack(a, za, m, k, w, n, got2, requant, &tmp); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, v := range want {
+					if got[i] != v || got2[i] != v {
+						t.Fatalf("asm=%v workers=%d (%d,%d,%d): elem %d: QMatMul %d, QMatMulPack %d, want %d",
+							impl, workers, m, k, n, i, got[i], got2[i], v)
+					}
 				}
 			}
 		}
 	}
-	parallel.SetWorkers(0)
 }

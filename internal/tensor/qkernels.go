@@ -28,8 +28,8 @@ func QMatMul(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant 
 	return QMatMulPack(a, za, m, k, w, n, out, requant, nil)
 }
 
-// qpanelPool recycles packed weight panels for the paths without a
-// caller's scratch.
+// qpanelPool recycles the packed weight panels of the sharded paths
+// (one worker packs into the caller's scratch).
 var qpanelPool = sync.Pool{New: func() any { return make([]int32, qpackLen(blockK, blockN)) }}
 
 // QMatMulPack is QMatMul with its temporaries, the int32 accumulator
@@ -44,22 +44,14 @@ func QMatMulPack(a []int8, za int32, m, k int, w []int8, n int, out []int8, requ
 		return fmt.Errorf("%w: qmatmul (%d,%d)x(%d,%d) over %d/%d/%d elements",
 			ErrShape, m, k, k, n, len(a), len(w), len(out))
 	}
-	var acc []int32
-	if tmp != nil {
-		acc = tmp.Int32(m * n)
-	} else {
-		acc = make([]int32, m*n)
+	if tmp == nil {
+		tmp = new(QScratch)
 	}
+	acc := tmp.Int32(m * n)
 	workers := kernelWorkers(m * k * n)
 	switch nb := (n + blockN - 1) / blockN; {
 	case workers <= 1:
-		if tmp != nil {
-			qmatmulPanels(a, za, w, acc, k, n, 0, m, 0, n, tmp.Int32(qpackLen(min(k, blockK), min(n, blockN))))
-			break
-		}
-		pk := qpanelPool.Get().([]int32)
-		qmatmulPanels(a, za, w, acc, k, n, 0, m, 0, n, pk)
-		qpanelPool.Put(pk)
+		qmatmulPanels(a, za, w, acc, k, n, 0, m, 0, n, tmp.Int32(qpackLen(min(k, blockK), min(n, blockN))))
 	case nb >= workers:
 		// Wide output: shard whole column blocks so no two workers pack
 		// the same panel.
